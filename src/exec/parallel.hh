@@ -22,9 +22,15 @@
  *  - The first exception (lowest task index) is rethrown on the
  *    caller once the region drains.
  *
- * The worker threads are recruited per region: the tasks here are
- * coarse (a cluster transient is ~0.25 s), so thread start-up is
- * noise, and the design stays trivially exception-safe under TSan.
+ * Each pool owns up to threadCount() - 1 persistent workers.  None
+ * exists until the first region that needs them (constructing and
+ * destroying an unused pool starts no thread); a region then wakes
+ * the workers it needs, and between regions they spin briefly and
+ * park on a condition variable, so the 2,880 short regions of a
+ * 2-day fleet run pay a wake-up, not a thread start.  A pool runs
+ * one region at a time: a caller that finds it busy (another thread
+ * holds it) runs its region inline on its own thread instead of
+ * waiting.  Destroying the pool joins its workers.
  *
  * Thread count resolution order: explicit ThreadPool argument >
  * `TTS_THREADS` environment variable > hardware concurrency.
@@ -35,6 +41,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace tts {
@@ -60,18 +67,36 @@ std::size_t defaultThreadCount();
 class ThreadPool
 {
   public:
-    /** @param threads Region width (>= 1); 1 means strictly serial. */
+    /**
+     * @param threads Region width (>= 1); 1 means strictly serial.
+     * Starts no thread: workers start on the first region that needs
+     * them.
+     */
     explicit ThreadPool(std::size_t threads = defaultThreadCount());
+
+    /** Joins the workers; no region may be running. */
+    ~ThreadPool();
+
+    ThreadPool(ThreadPool &&) noexcept;
+    ThreadPool &operator=(ThreadPool &&) noexcept;
+    ThreadPool(const ThreadPool &) = delete;
+    ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** @return Region width. */
     std::size_t threadCount() const { return threads_; }
+
+    /** @return Worker threads started so far (at most width - 1). */
+    std::size_t workerCount() const;
 
     /**
      * Run fn(i) for every i in [0, n).
      *
      * Serial fallback (plain in-order loop on the calling thread)
-     * when threadCount() == 1, n <= 1, or the caller is itself a
-     * task of an outer region (nested regions never oversubscribe).
+     * when threadCount() == 1, n <= 1, the caller is itself a task
+     * of an outer region (nested regions never oversubscribe),
+     * tracing is on and the caller is inside an obs::TaskScope (its
+     * events stay on that task's stream), or another thread's region
+     * holds the pool (never blocks).
      * Otherwise indices are handed out through an atomic counter and
      * results must be written to index-keyed slots by fn.  If any
      * task throws, the exception thrown by the lowest index is
@@ -97,7 +122,11 @@ class ThreadPool
     }
 
   private:
+    struct Crew;
+
     std::size_t threads_;
+    /** Workers and their wake-up state; null when threads_ == 1. */
+    std::unique_ptr<Crew> crew_;
 };
 
 /**
@@ -108,7 +137,9 @@ const ThreadPool &globalPool();
 
 /**
  * Resize the global pool (testing / tool hook, e.g. for a serial-vs-
- * parallel determinism check).  Not safe while a region is running.
+ * parallel determinism check).  A new width joins the old pool's
+ * parked workers; the same width keeps them.  Not safe while a
+ * region is running.
  */
 void setGlobalThreads(std::size_t threads);
 

@@ -132,6 +132,12 @@ FleetSim::FleetSim(const server::ServerSpec &spec,
     require(cfg_.durationS > 0.0, "FleetSim: durationS must be > 0");
     require(cfg_.controlIntervalS > 0.0 && cfg_.thermalStepS > 0.0,
             "FleetSim: bad step sizes");
+    // One sample per control step plus the final one: sized up front
+    // so a finished result holds no growth slack.
+    std::size_t samples = static_cast<std::size_t>(
+        std::ceil(cfg_.durationS / cfg_.controlIntervalS)) + 1;
+    for (TimeSeries *s : {&cooling_w_, &it_w_, &melt_})
+        s->reserve(samples);
 
     double u0 = utilAt(0.0);
     server::WaxConfig shared_wax = cfg_.withWax
@@ -263,6 +269,7 @@ FleetSim::materialize(std::uint32_t s)
             obs::registry().counter("fleet.rows.materialized");
         materialized.add(1);
     }
+    live_stale_ = true;
     return rows_.emplace(s, std::move(row)).first->second;
 }
 
@@ -319,26 +326,60 @@ FleetSim::applyEventsUpTo(double t)
 }
 
 void
-FleetSim::setLoads(double u)
+FleetSim::stepRow(MaterializedRow &row, double u, double dt,
+                  RowSample &out)
 {
+    const ArchetypeArena &arena = *arenas_[row.arena];
+    double util = std::clamp(
+        u * weights_[row.arena] + row.pert.utilDelta, 0.0, 1.0);
+    double freq = row.pert.fanPinned ? arena.spec().cpu.minFreqGHz
+                                     : 0.0;
+    server::ServerModel &m = *row.model;
+    m.setLoad(util, freq);
+    m.network().setInletTemp(arena.inletTempC() + row.pert.inletDeltaC);
+    m.network().setObsClock(t_);
+    out.coolingW = m.coolingLoad();
+    out.wallW = m.wallPower();
+    out.hasWax = m.hasWax();
+    out.meltFraction = out.hasWax ? m.waxMeltFraction() : 0.0;
+    if (dt > 0.0)
+        m.advance(dt, cfg_.thermalStepS);
+}
+
+void
+FleetSim::sampleAndAdvance(double u, double dt)
+{
+    applyEventsUpTo(t_);
+    if (live_stale_) {
+        live_.clear();
+        for (auto &kv : rows_)
+            live_.push_back(&kv.second);
+        samples_.resize(live_.size());
+        live_stale_ = false;
+    }
     for (std::size_t i = 0; i < arenas_.size(); ++i) {
         server::ServerModel &b = arenas_[i]->baseline();
         b.setLoad(std::clamp(u * weights_[i], 0.0, 1.0));
         b.network().setObsClock(t_);
     }
-    for (auto &kv : rows_) {
-        MaterializedRow &row = kv.second;
-        const ArchetypeArena &arena = *arenas_[row.arena];
-        double util = std::clamp(
-            u * weights_[row.arena] + row.pert.utilDelta, 0.0, 1.0);
-        double freq = row.pert.fanPinned
-            ? arena.spec().cpu.minFreqGHz
-            : 0.0;
-        row.model->setLoad(util, freq);
-        row.model->network().setInletTemp(arena.inletTempC() +
-                                          row.pert.inletDeltaC);
-        row.model->network().setObsClock(t_);
+    // Shard k owns live rows [k*R/S, (k+1)*R/S): equal row counts,
+    // fixed by the materialization pattern alone, so every row's obs
+    // stream is the same task's at any thread count.  No task
+    // touches rows_ or another shard's slots while the region runs.
+    if (!live_.empty()) {
+        std::size_t rows = live_.size();
+        exec::parallel_for_index(shard_count_, [&](std::size_t k) {
+            std::size_t hi = (k + 1) * rows / shard_count_;
+            for (std::size_t i = k * rows / shard_count_; i < hi; ++i)
+                stepRow(*live_[i], u, dt, samples_[i]);
+        });
     }
+    record(t_);
+    // Baselines are a handful of rows; serial keeps their obs
+    // streams on the main task and costs nothing next to the fleet.
+    if (dt > 0.0)
+        for (auto &arena : arenas_)
+            arena->baseline().advance(dt, cfg_.thermalStepS);
 }
 
 void
@@ -352,6 +393,7 @@ FleetSim::record(double t)
     double it_power = 0.0;
     double melt_sum = 0.0;
     double wax_servers = 0.0;
+    std::size_t i = 0;
     for (const auto &arena : arenas_) {
         const server::ServerModel &b = arena->baseline();
         double aliased = static_cast<double>(arena->aliasedCount());
@@ -361,15 +403,13 @@ FleetSim::record(double t)
             melt_sum += aliased * b.waxMeltFraction();
             wax_servers += aliased;
         }
-        std::uint32_t lo = arena->firstServer();
-        std::uint32_t hi = lo + arena->count();
-        for (auto itr = rows_.lower_bound(lo);
-             itr != rows_.end() && itr->first < hi; ++itr) {
-            const server::ServerModel &m = *itr->second.model;
-            cooling += m.coolingLoad();
-            it_power += m.wallPower();
-            if (m.hasWax()) {
-                melt_sum += m.waxMeltFraction();
+        std::uint32_t hi = arena->firstServer() + arena->count();
+        for (; i < live_.size() && live_[i]->server < hi; ++i) {
+            const RowSample &r = samples_[i];
+            cooling += r.coolingW;
+            it_power += r.wallW;
+            if (r.hasWax) {
+                melt_sum += r.meltFraction;
                 wax_servers += 1.0;
             }
         }
@@ -385,41 +425,12 @@ FleetSim::record(double t)
     last_cooling_w_ = cooling;
 }
 
-void
-FleetSim::advanceAll(double dt)
-{
-    // Baselines are a handful of rows; serial keeps their obs
-    // streams on the main task and costs nothing next to the fleet.
-    for (auto &arena : arenas_)
-        arena->baseline().advance(dt, cfg_.thermalStepS);
-    if (rows_.empty())
-        return;
-    // Shards own contiguous server ranges; rows are looked up in the
-    // ordered map, which no task mutates while the region runs.
-    std::uint32_t n = static_cast<std::uint32_t>(server_count_);
-    std::uint32_t chunk = static_cast<std::uint32_t>(
-        (server_count_ + shard_count_ - 1) / shard_count_);
-    exec::parallel_for_index(shard_count_, [&](std::size_t k) {
-        std::uint32_t lo = static_cast<std::uint32_t>(k) * chunk;
-        std::uint32_t hi = std::min(n, lo + chunk);
-        if (lo >= hi)
-            return;
-        for (auto itr = rows_.lower_bound(lo);
-             itr != rows_.end() && itr->first < hi; ++itr)
-            itr->second.model->advance(dt, cfg_.thermalStepS);
-    });
-}
-
 double
 FleetSim::step()
 {
     require(!done_, "FleetSim::step: run already finished");
-    double u = utilAt(t_);
-    applyEventsUpTo(t_);
-    setLoads(u);
-    record(t_);
     double dt = std::min(cfg_.controlIntervalS, cfg_.durationS - t_);
-    advanceAll(dt);
+    sampleAndAdvance(utilAt(t_), dt);
     cooling_energy_j_ += last_cooling_w_ * dt;
     t_ += dt;
     ++control_steps_;
@@ -442,10 +453,7 @@ FleetSim::step()
     }
     if (t_ >= cfg_.durationS - 1e-9) {
         t_ = cfg_.durationS;
-        double uf = utilAt(t_);
-        applyEventsUpTo(t_);
-        setLoads(uf);
-        record(t_);
+        sampleAndAdvance(utilAt(t_), 0.0);
         done_ = true;
         TTS_OBS_EVENT(obs::EventKind::PhaseEnd, t_, "fleet.run",
                       static_cast<double>(rows_.size()), -1);
@@ -593,6 +601,7 @@ FleetSim::restore(const std::string &path)
     r.expectSection("rows");
     std::uint64_t count = r.expectU64("count");
     rows_.clear();
+    live_stale_ = true;
     for (std::uint64_t k = 0; k < count; ++k) {
         r.expectSection("row." + std::to_string(k));
         MaterializedRow row;

@@ -15,15 +15,18 @@
  * fleet/perturbation.hh) lazily materialize private rows the moment
  * they diverge.
  *
- * Materialized rows advance sharded across the deterministic
- * exec::ThreadPool.  All randomness is drawn from per-server
- * Rng::forStream sub-streams before stepping begins and every
- * aggregation runs in canonical (arena, server) order, so the entire
- * run - series, peaks, digests - is bit-identical at any thread count
- * and any shard width.  Long runs checkpoint through the CRC-32
- * guard writer (arena baselines + materialized rows + event cursor)
- * and resume bit-identically, and the whole thing is observable
- * through tts::obs (fleet.* metrics, perturbation trace events).
+ * Each control step is one exec::ThreadPool region: a shard task
+ * takes an equal share of the live rows in server order and, for
+ * each, sets its load and inlet, stores its aggregate contribution
+ * in the row's slot, and advances it.  All randomness is drawn from
+ * per-server Rng::forStream sub-streams before stepping begins and
+ * every aggregation runs in canonical (arena, server) order, so the
+ * entire run - series, peaks, digests - is bit-identical at any
+ * thread count and any shard width.  Long runs checkpoint through
+ * the CRC-32 guard writer (arena baselines + materialized rows +
+ * event cursor) and resume bit-identically, and the whole thing is
+ * observable through tts::obs (fleet.* metrics, perturbation trace
+ * events).
  */
 
 #ifndef TTS_FLEET_FLEET_HH
@@ -63,9 +66,9 @@ struct FleetConfig
     /** Cold-aisle inlet temperature every arena sees (C). */
     double inletTempC = 25.0;
     /**
-     * Shards the materialized rows advance in (each shard owns a
-     * contiguous server range); 0 picks the default of 8.  Results
-     * are bit-identical at any width.
+     * Tasks per control step: shard k takes the k-th equal share of
+     * the materialized rows in server order; 0 picks the default of
+     * 8.  Results are bit-identical at any width.
      */
     std::size_t shardCount = 0;
     /** Fleet seed: perturbation schedule sub-streams key off it. */
@@ -273,6 +276,15 @@ class FleetSim
     void restore(const std::string &path);
 
   private:
+    /** One row's share of the aggregate at the current sample. */
+    struct RowSample
+    {
+        double coolingW = 0.0;
+        double wallW = 0.0;
+        double meltFraction = 0.0;
+        bool hasWax = false;
+    };
+
     /** Utilization at time t (trace, or the flat run value). */
     double utilAt(double t) const;
 
@@ -289,14 +301,20 @@ class FleetSim
     /** Apply every pending event with timeS <= t. */
     void applyEventsUpTo(double t);
 
-    /** Set baseline + row operating points for utilization u. */
-    void setLoads(double u);
+    /**
+     * Sample the fleet at t_ and advance it dt seconds (dt == 0:
+     * sample only): apply due events, set every operating point for
+     * utilization u, record the aggregate, advance every model.
+     * Baselines run serially; rows run as one sharded region.
+     */
+    void sampleAndAdvance(double u, double dt);
+
+    /** Set a row's operating point, sample it, advance it dt. */
+    void stepRow(MaterializedRow &row, double u, double dt,
+                 RowSample &out);
 
     /** Append the aggregate sample at time t (canonical order). */
     void record(double t);
-
-    /** Advance baselines serially, rows sharded; dt seconds. */
-    void advanceAll(double dt);
 
     FleetConfig cfg_;
     workload::WorkloadTrace trace_;
@@ -307,6 +325,11 @@ class FleetSim
     std::vector<double> weights_;
     /** Materialized rows keyed by server id (canonical order). */
     std::map<std::uint32_t, MaterializedRow> rows_;
+    /** rows_ in server order; rebuilt when live_stale_. */
+    std::vector<MaterializedRow *> live_;
+    bool live_stale_ = true;
+    /** Per-row aggregate contributions, indexed like live_. */
+    std::vector<RowSample> samples_;
     std::vector<PerturbEvent> events_;
     std::size_t events_pos_ = 0;
     std::size_t events_applied_ = 0;

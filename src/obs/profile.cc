@@ -35,8 +35,9 @@ mergeTable(const std::map<std::string, PhaseStat> &table)
 
 /**
  * Per-thread phase table; merges into the global map when the
- * thread exits.  exec joins its recruits at region end, so worker
- * contributions are globally visible right after any forIndex.
+ * thread exits or flushes.  exec's workers flush at the end of every
+ * region, so their contributions are globally visible right after
+ * any forIndex.
  */
 struct ThreadTable
 {
@@ -78,6 +79,14 @@ resetProfile()
 }
 
 } // namespace detail
+
+void
+flushThreadProfile()
+{
+    std::map<std::string, PhaseStat> &stats = threadTable().stats;
+    mergeTable(stats);
+    stats.clear();
+}
 
 std::map<std::string, PhaseStat>
 profileSnapshot()

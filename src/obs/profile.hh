@@ -4,9 +4,13 @@
  *
  * obs::Scope times a phase ("thermal.advance", "resilience.cluster")
  * into a thread-local table; tables merge into a global map when a
- * thread exits or a snapshot is taken.  Worker threads recruited by
- * exec::ThreadPool are joined at region end, so their contributions
- * are visible to the launching thread immediately afterwards.
+ * thread exits, when it calls flushThreadProfile(), or (for the
+ * calling thread) when a snapshot is taken.  exec::ThreadPool's
+ * workers outlive their regions, so each one flushes before it
+ * reports its share of a region done: their contributions are
+ * visible to the launching thread as soon as forIndex returns, and
+ * a worker's table is empty between regions (so a reset between
+ * regions drops everything the workers recorded).
  *
  * Wall-clock numbers are inherently nondeterministic, so they stay
  * out of the trace stream entirely - profiles are reported
@@ -78,6 +82,13 @@ class Scope
     const char *phase_;
     std::chrono::steady_clock::time_point t0_;
 };
+
+/**
+ * Move the calling thread's table into the global one (and leave it
+ * empty).  Long-lived worker threads call this at the end of each
+ * unit of work; it is a no-op on an empty table.
+ */
+void flushThreadProfile();
 
 /**
  * Merge the global table with the calling thread's and return the

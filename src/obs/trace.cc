@@ -47,9 +47,10 @@ flushCtx(Ctx &ctx)
 
 /**
  * Stream (region 0, task 0): main-line emission on threads that are
- * not inside a TaskScope.  Flushed on drain and at thread exit;
- * exec joins its recruits per region, so worker destructors run
- * before the launching thread can drain.
+ * not inside a TaskScope.  Flushed on drain and at thread exit.
+ * While tracing is on, exec's workers run tasks only inside a
+ * TaskScope (a region launched from within a TaskScope runs on its
+ * caller), so events from their tasks never wait here.
  */
 struct MainCtx
 {

@@ -113,9 +113,9 @@ class TaskScope
 /**
  * Flush the calling thread's main-line buffer and move every
  * collected event out, sorted by (region, task, seq).  Worker-thread
- * buffers flush when their TaskScope (or thread) ends; exec joins
- * its recruits at region end, so after any forIndex returns their
- * events are already in the collected list.
+ * buffers flush when their TaskScope ends, and a region's tasks have
+ * all ended when forIndex returns, so their events are already in
+ * the collected list.
  */
 std::vector<TraceEvent> drainEvents();
 

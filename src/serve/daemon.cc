@@ -150,6 +150,7 @@ Daemon::submitAsync(std::string request_json,
     job->done = std::move(done);
     Reply rejection;
     bool rejected = false;
+    bool full = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.submitted;
@@ -161,14 +162,7 @@ Daemon::submitAsync(std::string request_json,
             rejected = true;
             ++stats_.repliesError;
         } else if (queue_.size() >= config_.queueCapacity) {
-            rejection = Reply::errorReply(
-                ErrorKind::Overloaded,
-                "admission queue full (capacity " +
-                    std::to_string(config_.queueCapacity) +
-                    "); retry with backoff");
-            rejected = true;
-            ++stats_.shed;
-            ++stats_.repliesError;
+            full = true;
         } else {
             job->seq = nextSeq_++;
             ++stats_.accepted;
@@ -181,6 +175,26 @@ Daemon::submitAsync(std::string request_json,
         }
     }
     TTS_OBS_COUNT(metrics().submitted, 1);
+    if (full) {
+        // Rung 0 comes before shedding: a frame that does not parse
+        // is answered as such, never told to retry.  Only a full
+        // queue parses here (off the lock); admission never does.
+        Request unused;
+        if (!parseRung(job->json, unused, rejection)) {
+            noteReply(rejection, msSince(job->admitted));
+            job->done(std::move(rejection));
+            return;
+        }
+        rejection = Reply::errorReply(
+            ErrorKind::Overloaded,
+            "admission queue full (capacity " +
+                std::to_string(config_.queueCapacity) +
+                "); retry with backoff");
+        rejected = true;
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.shed;
+        ++stats_.repliesError;
+    }
     if (rejected) {
         // Shed on the submitter's thread: an instant typed reply
         // instead of an unbounded queue wait.
@@ -271,6 +285,22 @@ Daemon::workerLoop()
     }
 }
 
+bool
+Daemon::parseRung(const std::string &json, Request &req,
+                  Reply &rejection) const
+{
+    try {
+        req = parseRequest(json, config_.maxRequestBytes);
+        return true;
+    } catch (const UnsupportedVersionError &e) {
+        rejection = Reply::errorReply(ErrorKind::UnsupportedVersion,
+                                      e.what());
+    } catch (const Error &e) {
+        rejection = Reply::errorReply(ErrorKind::Malformed, e.what());
+    }
+    return false;
+}
+
 Reply
 Daemon::process(Job &job)
 {
@@ -278,14 +308,9 @@ Daemon::process(Job &job)
     // boundary as evaluation, so hostile bytes cost one queue slot
     // and produce one typed reply.
     Request req;
-    try {
-        req = parseRequest(job.json, config_.maxRequestBytes);
-    } catch (const UnsupportedVersionError &e) {
-        return Reply::errorReply(ErrorKind::UnsupportedVersion,
-                                 e.what());
-    } catch (const Error &e) {
-        return Reply::errorReply(ErrorKind::Malformed, e.what());
-    }
+    Reply rejection;
+    if (!parseRung(job.json, req, rejection))
+        return rejection;
     const std::string canonical = canonicalText(req);
     const std::uint64_t fp = fnv1a(canonical);
 

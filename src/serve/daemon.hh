@@ -27,7 +27,9 @@
  * Malformed and unsupported-version requests are answered on rung
  * 0, before any of this: parsing happens on the worker inside the
  * same try/catch that guards evaluation, so a garbage payload costs
- * one queue slot and produces one typed reply.
+ * one queue slot and produces one typed reply.  When the queue is
+ * full the submitter's thread parses the frame before shedding it,
+ * so a garbage payload is never answered as overloaded.
  *
  * Fleet-backed cache misses additionally ride the MissBatcher
  * (serve/batch.hh): concurrent misses inside a short window execute
@@ -196,6 +198,13 @@ class Daemon
 
     void workerLoop();
     Reply process(Job &job);
+    /**
+     * Rung 0: parse json into req.  @return false, with the typed
+     * malformed/unsupported-version reply in rejection, when it
+     * does not parse.
+     */
+    bool parseRung(const std::string &json, Request &req,
+                   Reply &rejection) const;
     Reply evaluateWithRetries(const Request &req,
                               const std::string &canonical,
                               std::uint64_t seq, std::uint64_t fp);

@@ -38,6 +38,13 @@ class TimeSeries
      */
     void append(double t, double v);
 
+    /** Make room for n samples without reallocating. */
+    void reserve(std::size_t n)
+    {
+        times_.reserve(n);
+        values_.reserve(n);
+    }
+
     /**
      * Value at time t with linear interpolation and clamped ends.
      *

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/parallel.hh"
@@ -147,6 +149,150 @@ TEST(Parallel, GlobalPoolResizes)
     std::vector<int> items{1, 2, 3};
     auto out = parallel_map(items, [](int x) { return x * x; });
     EXPECT_EQ(out, (std::vector<int>{1, 4, 9}));
+    setGlobalThreads(before);
+}
+
+TEST(Parallel, ManyBackToBackRegionsOnOnePool)
+{
+    // The 2-day fleet run opens thousands of short regions on the
+    // same parked workers; every one must see exactly its own work.
+    ThreadPool pool(4);
+    std::vector<std::size_t> out(8);
+    for (std::size_t r = 0; r < 10000; ++r) {
+        pool.forIndex(out.size(),
+                      [&](std::size_t i) { out[i] = r * 8 + i; });
+        for (std::size_t i = 0; i < out.size(); ++i)
+            ASSERT_EQ(out[i], r * 8 + i) << "region " << r;
+    }
+    EXPECT_EQ(pool.workerCount(), 3u);
+}
+
+TEST(Parallel, PoolStaysUsableAfterAnException)
+{
+    ThreadPool pool(4);
+    EXPECT_THROW(pool.forIndex(16,
+                               [](std::size_t i) {
+                                   if (i == 5)
+                                       throw std::runtime_error("x");
+                               }),
+                 std::runtime_error);
+    std::vector<std::atomic<int>> hits(16);
+    pool.forIndex(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(Parallel, ConcurrentCallersOnOnePoolAllFinish)
+{
+    // The serve daemon's workers share globalPool(): callers that
+    // find it busy run their region inline instead of waiting, so
+    // nobody deadlocks and every region computes its own answer.
+    ThreadPool pool(4);
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kRegions = 200;
+    std::vector<std::size_t> bad(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            std::vector<std::size_t> out(16);
+            for (std::size_t r = 0; r < kRegions; ++r) {
+                pool.forIndex(out.size(), [&](std::size_t i) {
+                    out[i] = (c * kRegions + r) * 16 + i;
+                });
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    if (out[i] != (c * kRegions + r) * 16 + i)
+                        ++bad[c];
+            }
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    for (std::size_t c = 0; c < kCallers; ++c)
+        EXPECT_EQ(bad[c], 0u) << "caller " << c;
+}
+
+TEST(Parallel, UnusedPoolStartsNoThread)
+{
+    {
+        ThreadPool pool(8);
+        EXPECT_EQ(pool.workerCount(), 0u);
+    }
+    // Workers start on demand: a 3-task region needs two helpers.
+    ThreadPool pool(8);
+    pool.forIndex(3, [](std::size_t) {});
+    EXPECT_EQ(pool.workerCount(), 2u);
+    pool.forIndex(1, [](std::size_t) {});  // Serial: no new worker.
+    EXPECT_EQ(pool.workerCount(), 2u);
+    EXPECT_EQ(ThreadPool(1).workerCount(), 0u);
+}
+
+namespace {
+
+/** Counts worker threads that have exited (thread_local dtors). */
+std::atomic<int> g_exited{0};
+
+struct ExitProbe
+{
+    bool armed = false;
+    ~ExitProbe()
+    {
+        if (armed)
+            ++g_exited;
+    }
+};
+
+} // namespace
+
+TEST(Parallel, WorkersOutliveRegionsAndJoinOnDestruction)
+{
+    g_exited = 0;
+    std::thread::id caller = std::this_thread::get_id();
+    {
+        ThreadPool pool(4);
+        // Four tasks that each wait for all four to be running put
+        // one task on each of the caller and its three workers.
+        std::atomic<int> running{0};
+        pool.forIndex(4, [&](std::size_t) {
+            ++running;
+            auto until = std::chrono::steady_clock::now() +
+                std::chrono::seconds(10);
+            while (running.load() < 4 &&
+                   std::chrono::steady_clock::now() < until)
+                std::this_thread::yield();
+            if (std::this_thread::get_id() != caller) {
+                thread_local ExitProbe probe;
+                probe.armed = true;
+            }
+        });
+        ASSERT_EQ(running.load(), 4);
+        EXPECT_EQ(pool.workerCount(), 3u);
+        // Parked, not exited.
+        EXPECT_EQ(g_exited.load(), 0);
+    }
+    // The destructor joined all three.
+    EXPECT_EQ(g_exited.load(), 3);
+}
+
+TEST(Parallel, GlobalPoolResizesWhileWorkersParked)
+{
+    std::size_t before = globalPool().threadCount();
+    setGlobalThreads(4);
+    std::vector<int> items(8);
+    std::iota(items.begin(), items.end(), 0);
+    auto square = [](int x) { return x * x; };
+    auto expect = globalPool().map(items, square);
+    EXPECT_EQ(globalPool().workerCount(), 3u);
+    // Same width: the parked workers stay.
+    setGlobalThreads(4);
+    EXPECT_EQ(globalPool().workerCount(), 3u);
+    // New width: the old workers are joined, new ones start lazily.
+    setGlobalThreads(2);
+    EXPECT_EQ(globalPool().threadCount(), 2u);
+    EXPECT_EQ(globalPool().workerCount(), 0u);
+    EXPECT_EQ(parallel_map(items, square), expect);
+    EXPECT_EQ(globalPool().workerCount(), 1u);
+    setGlobalThreads(1);
+    EXPECT_EQ(parallel_map(items, square), expect);
     setGlobalThreads(before);
 }
 

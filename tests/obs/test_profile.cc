@@ -68,11 +68,47 @@ TEST_F(ProfileTest, WorkerThreadTimesMergeAfterRegion)
     pool.forIndex(8, [](std::size_t) {
         Scope scope("test.profile.worker");
     });
-    // Workers are joined at region end, so their per-thread tables
-    // have merged by the time forIndex returns.
+    // Workers flush their per-thread tables before they report
+    // their share of the region done, so the merge is visible by the
+    // time forIndex returns.
     auto snap = profileSnapshot();
     ASSERT_EQ(snap.count("test.profile.worker"), 1u);
     EXPECT_EQ(snap.at("test.profile.worker").calls, 8u);
+}
+
+TEST_F(ProfileTest, ReusedPoolCountsEachScopeOnce)
+{
+    setEnabled(true);
+    exec::ThreadPool pool(4);
+    auto region = [&] {
+        pool.forIndex(8, [](std::size_t) {
+            Scope scope("test.profile.reused");
+        });
+    };
+    region();
+    ASSERT_EQ(pool.workerCount(), 3u);
+    EXPECT_EQ(profileSnapshot().at("test.profile.reused").calls, 8u);
+    // The same parked workers run the second region; a flush that
+    // re-merged their earlier entries would count them twice.
+    region();
+    EXPECT_EQ(pool.workerCount(), 3u);
+    EXPECT_EQ(profileSnapshot().at("test.profile.reused").calls, 16u);
+}
+
+TEST_F(ProfileTest, ResetBetweenRegionsDropsWorkerContributions)
+{
+    setEnabled(true);
+    exec::ThreadPool pool(4);
+    auto region = [&] {
+        pool.forIndex(8, [](std::size_t) {
+            Scope scope("test.profile.reset");
+        });
+    };
+    region();
+    resetForTest();
+    EXPECT_EQ(profileSnapshot().count("test.profile.reset"), 0u);
+    region();
+    EXPECT_EQ(profileSnapshot().at("test.profile.reset").calls, 8u);
 }
 
 TEST_F(ProfileTest, TableListsPhases)

@@ -212,16 +212,23 @@ TEST(ServeDaemon, OverCapacitySubmitsAreShedWithTypedReplies)
     auto queued = daemon.submit(quickRequest(130.0));
     auto shed1 = daemon.submit(quickRequest(140.0));
     auto shed2 = daemon.submit(quickRequest(150.0));
+    // Rung 0 precedes shedding: garbage is malformed even when the
+    // queue is full.
+    auto garbage = daemon.submit("not a request");
     const Reply s1 = shed1.get();
     const Reply s2 = shed2.get();
+    const Reply g = garbage.get();
     ASSERT_FALSE(s1.ok);
     EXPECT_EQ(s1.error, ErrorKind::Overloaded);
     EXPECT_NE(s1.detail.find("capacity 1"), std::string::npos);
     EXPECT_EQ(s2.error, ErrorKind::Overloaded);
+    ASSERT_FALSE(g.ok);
+    EXPECT_EQ(g.error, ErrorKind::Malformed);
     EXPECT_TRUE(blocker.get().ok);
     EXPECT_TRUE(queued.get().ok);
     const DaemonStats stats = daemon.stats();
     EXPECT_EQ(stats.shed, 2u);
+    EXPECT_EQ(stats.malformed, 1u);
     EXPECT_EQ(stats.accepted, 2u);
     EXPECT_EQ(stats.repliesOk + stats.repliesError,
               stats.submitted);

@@ -9,9 +9,10 @@
 # them.  The Release tree also runs the perf lane: the ctest perf
 # smoke label, then the full two-day thermal-kernel gate (2x speedup
 # + bit-identity), the parallel-sweep bench, the 40k-server fleet
-# gate (wall-clock budget, 1-vs-8-thread bit-identity, 10x dedupe
-# leverage), the wax-placement search gate (1t==8t, beats the
-# uniform-wax 2U baseline), the cooling-plant gate (four backends
+# gate (wall-clock budget, 1.3x median 2-thread speedup, 2-wide
+# region latency, 1/2/8-thread bit-identity, 10x dedupe leverage),
+# the wax-placement search gate (1t==8t, beats the uniform-wax 2U
+# baseline), the cooling-plant gate (four backends
 # bit-identical 1t vs 8t, MPC beats static CRAC by the margin), and
 # the scenario-daemon gate (latency percentiles, cache hit rate,
 # shed-under-overload sanity, manifest warm-start hit rate, and
@@ -77,7 +78,7 @@ echo "== perf gate: SoA thermal kernel (2x, bit-identity) =="
 echo "== perf: parallel sweep =="
 ./build/bench/perf_parallel_sweep --out=BENCH_sweep.json
 
-echo "== perf gate: 40k-server fleet (10-min wall, 1t==8t, 10x dedupe) =="
+echo "== perf gate: 40k-server fleet (10-min wall, 1.3x at 2t, 1t==2t==8t, 10x dedupe) =="
 ./build/bench/perf_fleet --min-dedupe-speedup=10.0 \
     --out=BENCH_fleet.json
 

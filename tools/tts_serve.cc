@@ -44,7 +44,10 @@
  * canonical fingerprint; --cache=FILE persists the cache across
  * restarts through the CRC-protected checkpoint path (a corrupt
  * snapshot is quarantined to FILE.corrupt, never fatal).  --stats
- * dumps lifetime serving counters as kv-json on exit.
+ * dumps lifetime serving counters as kv-json on exit: the same
+ * daemon (serve.*), cache (serve.cache.*) and batcher
+ * (serve.batch.*) keys in every mode, plus the session mux's mux.*
+ * keys in socket mode.
  */
 
 #include <cstdio>
@@ -202,8 +205,14 @@ warmIfRequested(serve::Daemon &daemon, const DaemonFlags &flags)
         std::cerr << "tts_serve: manifest " << failure << "\n";
 }
 
+/**
+ * Write the daemon's lifetime counters to path (no-op when empty):
+ * daemon, cache and batcher counters in every mode, plus `extra`
+ * (the socket mode's mux.* counters).
+ */
 void
-dumpStats(const serve::Daemon &daemon, const std::string &path)
+dumpStats(const serve::Daemon &daemon, const std::string &path,
+          const std::map<std::string, double> &extra = {})
 {
     if (path.empty())
         return;
@@ -216,6 +225,11 @@ dumpStats(const serve::Daemon &daemon, const std::string &path)
     kv["serve.cache.collisions"] =
         static_cast<double>(cache.collisions);
     kv["serve.cache.persists"] = static_cast<double>(cache.persists);
+    const serve::BatchStats batch = daemon.batchStats();
+    kv["serve.batch.sweeps"] = static_cast<double>(batch.sweeps);
+    kv["serve.batch.jobs"] = static_cast<double>(batch.jobs);
+    kv["serve.batch.coalesced"] = static_cast<double>(batch.coalesced);
+    kv.insert(extra.begin(), extra.end());
     writeKvJsonFile(path, kv);
 }
 
@@ -270,12 +284,7 @@ runSocket(const DaemonFlags &flags, const std::string &path,
     mux.run();
 
     daemon.shutdown();
-    if (!flags.statsPath.empty()) {
-        std::map<std::string, double> kv = daemon.stats().toMap();
-        for (const auto &entry : mux.stats().toMap())
-            kv[entry.first] = entry.second;
-        writeKvJsonFile(flags.statsPath, kv);
-    }
+    dumpStats(daemon, flags.statsPath, mux.stats().toMap());
     return 0;
 }
 
